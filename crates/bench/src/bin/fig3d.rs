@@ -16,7 +16,7 @@ use stencil_core::tile::tessellate;
 use stencil_core::{kernels, Method, Pattern, Solver, Tiling, Tuning};
 use stencil_grid::{Grid3D, PingPong};
 use stencil_runtime::PoolHandle;
-use stencil_simd::NativeF64x4;
+use stencil_simd::{NativeF64x4, SimdF64};
 
 fn cases() -> Vec<(&'static str, Pattern)> {
     vec![
@@ -61,7 +61,16 @@ where
         ) + Sync,
 {
     let mut pp = PingPong::new(g.clone());
-    tessellate::run_3d(pool, &mut pp, reff, reff, tb, steps, kernel);
+    tessellate::run_3d(
+        pool,
+        &mut pp,
+        reff,
+        reff,
+        tb,
+        NativeF64x4::LANES,
+        steps,
+        kernel,
+    );
     let _ = pp.into_current();
 }
 

@@ -352,6 +352,7 @@ fn run_apop(method: MethodId, pool: &PoolHandle, sizes: &Sizes) -> Option<Durati
                     1,
                     1,
                     tb,
+                    1,
                     t,
                     &|s: &[f64], d: &mut [f64], lo, hi| {
                         apop::step_range_scalar(s, d, &taps, &pay, lo, hi)
@@ -388,6 +389,7 @@ fn apop_tess<V: SimdF64>(
             1,
             1,
             tb,
+            V::LANES,
             t,
             &|s: &[f64], d: &mut [f64], lo, hi| apop::step_range::<V>(s, d, &taps, &pay, lo, hi),
         );
@@ -417,6 +419,7 @@ fn apop_tess_folded<V: SimdF64>(
             rr,
             rr,
             tb,
+            V::LANES,
             t / m,
             &|s: &[f64], d: &mut [f64], lo, hi| {
                 apop::step_folded_range::<V>(s, d, &taps, &pay, lo, hi)
@@ -443,6 +446,7 @@ fn run_life(method: MethodId, pool: &PoolHandle, sizes: &Sizes) -> Option<Durati
                     1,
                     1,
                     tb,
+                    1,
                     t,
                     &|s: &Grid2D, d: &mut Grid2D, ys, xs| life::step_range_scalar(s, d, ys, xs),
                 );
@@ -471,6 +475,7 @@ fn life_tess<V: SimdF64>(
             1,
             1,
             tb,
+            V::LANES,
             t,
             &|s: &Grid2D, d: &mut Grid2D, ys, xs| life::step_range::<V>(s, d, ys, xs),
         );
@@ -495,6 +500,7 @@ fn life_tess2<V: SimdF64>(
             2,
             2,
             tb,
+            V::LANES,
             t / 2,
             &|s: &Grid2D, d: &mut Grid2D, ys, xs| life::step2_range::<V>(s, d, ys, xs),
         );

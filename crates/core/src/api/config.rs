@@ -77,9 +77,11 @@ pub enum Width {
 }
 
 impl Width {
-    /// Widest width with a native backend on this build.
+    /// Widest width with an intrinsic backend on this CPU
+    /// ([`stencil_simd::Isa::detect`]): [`Width::W8`] on AVX-512 hosts,
+    /// [`Width::W4`] everywhere else.
     pub fn native_max() -> Self {
-        if stencil_simd::HAS_AVX512 {
+        if stencil_simd::Isa::detect() == stencil_simd::Isa::Avx512 {
             Width::W8
         } else {
             Width::W4

@@ -12,7 +12,40 @@ use crate::plan::FoldPlan;
 use crate::tile::{spatial, split, tessellate};
 use stencil_grid::{Grid1D, Grid2D, Grid3D, PingPong};
 use stencil_runtime::PoolHandle;
-use stencil_simd::{NativeF64x4, NativeF64x8, SimdF64};
+use stencil_simd::portable::{PF64x4, PF64x8};
+use stencil_simd::{Isa, SimdF64};
+
+/// Evaluate `$body` with the type alias `$V` bound to `plan`'s vector
+/// backend: the intrinsic backend of its dispatched ISA ([`Plan::isa`]),
+/// else the portable one of its width.
+macro_rules! with_backend {
+    ($plan:expr, $V:ident => $body:expr) => {
+        match ($plan.width, $plan.isa) {
+            (Width::W1, _) => {
+                type $V = f64;
+                $body
+            }
+            #[cfg(target_arch = "x86_64")]
+            (Width::W4, Isa::Avx2) => {
+                type $V = stencil_simd::avx2::F64x4;
+                $body
+            }
+            (Width::W4, _) => {
+                type $V = PF64x4;
+                $body
+            }
+            #[cfg(target_arch = "x86_64")]
+            (Width::W8, Isa::Avx512) => {
+                type $V = stencil_simd::avx512::F64x8;
+                $body
+            }
+            (Width::W8, _) => {
+                type $V = PF64x8;
+                $body
+            }
+        }
+    };
+}
 
 /// Largest folded radius `m * r` the register pipeline supports for a
 /// pattern of dimensionality `dims` at vector width `width` (the 1D
@@ -83,6 +116,8 @@ fn family(method: Method) -> Family {
 ///   pipelines, the planned [`FoldedKernel`] with its counterpart
 ///   schedule,
 /// * the resolved [`Method`] (never [`Method::Auto`]) and [`Width`],
+/// * the [`Isa`] its kernels run on: detected on this CPU at compile
+///   time, never configured,
 /// * a shared [`PoolHandle`] whose worker threads outlive the plan's
 ///   runs — clone the handle into several plans to amortize one pool.
 ///
@@ -97,6 +132,9 @@ pub struct Plan {
     method: Method,
     tiling: Tiling,
     width: Width,
+    /// Instruction set the kernels dispatch to (`Isa::detect()` narrowed
+    /// to the backend serving `width`).
+    isa: Isa,
     pool: PoolHandle,
     /// Fold factor (1 unless the method is `Folded { m > 1 }`).
     m: usize,
@@ -120,6 +158,7 @@ impl std::fmt::Debug for Plan {
             .field("method", &self.method)
             .field("tiling", &self.tiling)
             .field("width", &self.width)
+            .field("isa", &self.isa)
             .field("threads", &self.pool.threads())
             .field("m", &self.m)
             .field("effective_radius", &self.folded.radius())
@@ -314,6 +353,7 @@ impl Plan {
             method,
             tiling,
             width,
+            isa: Isa::detect().for_lanes(width.lanes()),
             pool,
             m,
             folded,
@@ -342,6 +382,15 @@ impl Plan {
     /// The resolved vector width.
     pub fn width(&self) -> Width {
         self.width
+    }
+
+    /// The instruction set this plan's kernels run on: the widest one
+    /// this CPU supports for the plan's width (AVX2+FMA for
+    /// [`Width::W4`], AVX-512F for [`Width::W8`]), else
+    /// [`Isa::Portable`]. Results agree bit for bit with the portable
+    /// backend of the same width.
+    pub fn isa(&self) -> Isa {
+        self.isa
     }
 
     /// The shared worker pool (clone the handle to reuse it elsewhere).
@@ -448,11 +497,7 @@ impl Plan {
                 domain_dims: 2,
             });
         }
-        Ok(match self.width {
-            Width::W1 => self.exec_2d::<f64>(grid, t, origin_y),
-            Width::W4 => self.exec_2d::<NativeF64x4>(grid, t, origin_y),
-            Width::W8 => self.exec_2d::<NativeF64x8>(grid, t, origin_y),
-        })
+        Ok(with_backend!(self, V => self.exec_2d::<V>(grid, t, origin_y)))
     }
 
     /// [`Plan::run_3d`] over a local window whose outer (z) axis starts
@@ -464,11 +509,7 @@ impl Plan {
                 domain_dims: 3,
             });
         }
-        Ok(match self.width {
-            Width::W1 => self.exec_3d::<f64>(grid, t, origin_z),
-            Width::W4 => self.exec_3d::<NativeF64x4>(grid, t, origin_z),
-            Width::W8 => self.exec_3d::<NativeF64x8>(grid, t, origin_z),
-        })
+        Ok(with_backend!(self, V => self.exec_3d::<V>(grid, t, origin_z)))
     }
 
     // -----------------------------------------------------------------
@@ -514,6 +555,7 @@ impl Plan {
                         reff,
                         reff,
                         time_block,
+                        V::LANES,
                         t / self.m,
                         &|s: &[f64], d: &mut [f64], lo, hi| scalar::step_range_1d(s, d, tw, lo, hi),
                     ),
@@ -523,6 +565,7 @@ impl Plan {
                         reff,
                         reff,
                         time_block,
+                        V::LANES,
                         t / self.m,
                         &|s: &[f64], d: &mut [f64], lo, hi| {
                             multiload::step_range_1d::<V>(s, d, tw, lo, hi)
@@ -534,6 +577,7 @@ impl Plan {
                         reff,
                         reff,
                         time_block,
+                        V::LANES,
                         t / self.m,
                         &|s: &[f64], d: &mut [f64], lo, hi| {
                             folded::step_squares_range_1d::<V>(s, d, tw, lo, hi)
@@ -553,6 +597,7 @@ impl Plan {
                         r,
                         r,
                         time_block,
+                        V::LANES,
                         tail,
                         &|s: &[f64], d: &mut [f64], lo, hi| {
                             folded::step_squares_range_1d::<V>(s, d, bw, lo, hi)
@@ -614,6 +659,7 @@ impl Plan {
                             reff,
                             reff,
                             time_block,
+                            V::LANES,
                             t / self.m,
                             origin_y,
                             &|s: &Grid2D, d: &mut Grid2D, ys, xs| {
@@ -629,6 +675,7 @@ impl Plan {
                             r,
                             r,
                             time_block,
+                            V::LANES,
                             t,
                             origin_y,
                             &|s: &Grid2D, d: &mut Grid2D, ys, xs| {
@@ -648,6 +695,7 @@ impl Plan {
                             r,
                             r,
                             time_block,
+                            V::LANES,
                             t,
                             origin_y,
                             &|s: &Grid2D, d: &mut Grid2D, ys, xs| {
@@ -670,6 +718,7 @@ impl Plan {
                             r,
                             r,
                             time_block,
+                            V::LANES,
                             tail,
                             origin_y,
                             &|s: &Grid2D, d: &mut Grid2D, ys, xs| {
@@ -685,6 +734,7 @@ impl Plan {
                             r,
                             r,
                             time_block,
+                            V::LANES,
                             tail,
                             origin_y,
                             &|s: &Grid2D, d: &mut Grid2D, ys, xs| {
@@ -775,6 +825,7 @@ impl Plan {
                             reff,
                             reff,
                             time_block,
+                            V::LANES,
                             t / self.m,
                             origin_z,
                             &|s: &Grid3D, d: &mut Grid3D, zs, ys, xs| {
@@ -790,6 +841,7 @@ impl Plan {
                             r,
                             r,
                             time_block,
+                            V::LANES,
                             t,
                             origin_z,
                             &|s: &Grid3D, d: &mut Grid3D, zs, ys, xs| {
@@ -809,6 +861,7 @@ impl Plan {
                             r,
                             r,
                             time_block,
+                            V::LANES,
                             t,
                             origin_z,
                             &|s: &Grid3D, d: &mut Grid3D, zs, ys, xs| {
@@ -830,6 +883,7 @@ impl Plan {
                             r,
                             r,
                             time_block,
+                            V::LANES,
                             tail,
                             origin_z,
                             &|s: &Grid3D, d: &mut Grid3D, zs, ys, xs| {
@@ -845,6 +899,7 @@ impl Plan {
                             r,
                             r,
                             time_block,
+                            V::LANES,
                             tail,
                             origin_z,
                             &|s: &Grid3D, d: &mut Grid3D, zs, ys, xs| {
@@ -942,11 +997,7 @@ impl Domain for Grid1D {
     }
 
     fn run_with(plan: &Plan, domain: &Self, t: usize) -> Self {
-        match plan.width {
-            Width::W1 => plan.exec_1d::<f64>(domain, t),
-            Width::W4 => plan.exec_1d::<NativeF64x4>(domain, t),
-            Width::W8 => plan.exec_1d::<NativeF64x8>(domain, t),
-        }
+        with_backend!(plan, V => plan.exec_1d::<V>(domain, t))
     }
 }
 
@@ -958,11 +1009,7 @@ impl Domain for Grid2D {
     }
 
     fn run_with(plan: &Plan, domain: &Self, t: usize) -> Self {
-        match plan.width {
-            Width::W1 => plan.exec_2d::<f64>(domain, t, 0),
-            Width::W4 => plan.exec_2d::<NativeF64x4>(domain, t, 0),
-            Width::W8 => plan.exec_2d::<NativeF64x8>(domain, t, 0),
-        }
+        with_backend!(plan, V => plan.exec_2d::<V>(domain, t, 0))
     }
 }
 
@@ -974,11 +1021,7 @@ impl Domain for Grid3D {
     }
 
     fn run_with(plan: &Plan, domain: &Self, t: usize) -> Self {
-        match plan.width {
-            Width::W1 => plan.exec_3d::<f64>(domain, t, 0),
-            Width::W4 => plan.exec_3d::<NativeF64x4>(domain, t, 0),
-            Width::W8 => plan.exec_3d::<NativeF64x8>(domain, t, 0),
-        }
+        with_backend!(plan, V => plan.exec_3d::<V>(domain, t, 0))
     }
 }
 

@@ -47,11 +47,23 @@ fn vec_at<V: SimdF64>(dlt: &[f64], cols: usize, q: isize) -> V {
     }
 }
 
-/// One Jacobi step over DLT columns `p_lo..p_hi` (ring positions:
-/// `p_hi` may exceed `cols`, positions wrap modulo `cols`). After
-/// computing each column, original-domain Dirichlet cells (orig `[0,r)`
-/// in lane 0, orig `[n-r, n)` in the last lane) are restored from `src`.
-pub fn step_dlt_range<V: SimdF64>(
+crate::exec::isa_roots! {
+    /// One Jacobi step over DLT columns `p_lo..p_hi` (ring positions:
+    /// `p_hi` may exceed `cols`, positions wrap modulo `cols`). After
+    /// computing each column, original-domain Dirichlet cells (orig `[0,r)`
+    /// in lane 0, orig `[n-r, n)` in the last lane) are restored from `src`.
+    pub fn step_dlt_range(
+        src: &[f64],
+        dst: &mut [f64],
+        taps: &[f64],
+        cols: usize,
+        p_lo: usize,
+        p_hi: usize,
+    ) = step_dlt_range_impl;
+}
+
+#[inline(always)]
+fn step_dlt_range_impl<V: SimdF64>(
     src: &[f64],
     dst: &mut [f64],
     taps: &[f64],
@@ -67,6 +79,7 @@ pub fn step_dlt_range<V: SimdF64>(
     );
 }
 
+#[inline(always)]
 fn step_dlt_range_t<V: SimdF64, const T: usize>(
     src: &[f64],
     dst: &mut [f64],
@@ -124,6 +137,7 @@ pub struct DltSweep1D<V: SimdF64> {
 impl<V: SimdF64> DltSweep1D<V> {
     /// Transform `grid` into DLT layout (counted by the paper as part of
     /// DLT's cost). `grid.len()` must be a multiple of `V::LANES`.
+    #[inline(always)]
     pub fn new(grid: &Grid1D, p: &Pattern) -> Self {
         assert_eq!(p.dims(), 1);
         let n = grid.len();
@@ -142,6 +156,7 @@ impl<V: SimdF64> DltSweep1D<V> {
     }
 
     /// Advance `t` time steps in DLT space.
+    #[inline(always)]
     pub fn steps(&mut self, t: usize) {
         let cols = self.layout.cols();
         for _ in 0..t {
@@ -164,6 +179,7 @@ impl<V: SimdF64> DltSweep1D<V> {
     }
 
     /// Transform back to the original layout.
+    #[inline(always)]
     pub fn into_grid(self) -> Grid1D {
         let mut out = Grid1D::zeros(self.layout.cols() * V::LANES);
         self.layout
@@ -188,8 +204,13 @@ impl<V: SimdF64> DltSweep1D<V> {
     }
 }
 
-/// Convenience: full DLT sweep (transform, `t` steps, transform back).
-pub fn sweep_1d<V: SimdF64>(grid: &Grid1D, p: &Pattern, t: usize) -> Grid1D {
+crate::exec::isa_roots! {
+    /// Convenience: full DLT sweep (transform, `t` steps, transform back).
+    pub fn sweep_1d(grid: &Grid1D, p: &Pattern, t: usize) -> Grid1D = sweep_1d_impl;
+}
+
+#[inline(always)]
+fn sweep_1d_impl<V: SimdF64>(grid: &Grid1D, p: &Pattern, t: usize) -> Grid1D {
     let mut d = DltSweep1D::<V>::new(grid, p);
     d.steps(t);
     d.into_grid()

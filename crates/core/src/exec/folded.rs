@@ -150,6 +150,7 @@ pub(crate) struct PlanV<V> {
 }
 
 impl<V: SimdF64> PlanV<V> {
+    #[inline(always)]
     pub(crate) fn new(k: &FoldedKernel) -> Self {
         let rr = k.plan.radius as isize;
         let mut hcols = vec![Vec::new(); 2 * k.plan.radius + 1];
@@ -172,13 +173,24 @@ impl<V: SimdF64> PlanV<V> {
 // 1D squares kernel
 // ---------------------------------------------------------------------
 
-/// One (possibly folded) step on `dst[lo..hi]` of a 1D grid in original
-/// layout: on-the-fly register transpose per `vl*vl` square, horizontal
-/// fold, transpose back. Block-edge dependents are built from scalar edge
-/// loads, so all reads stay within `[lo - R, hi + R)` — the contract the
-/// tessellation tiles rely on. Requires `R = taps.len()/2 <= V::LANES`
-/// and `lo >= R`, `hi + R <= src.len()`.
-pub fn step_squares_range_1d<V: SimdF64>(
+crate::exec::isa_roots! {
+    /// One (possibly folded) step on `dst[lo..hi]` of a 1D grid in original
+    /// layout: on-the-fly register transpose per `vl*vl` square, horizontal
+    /// fold, transpose back. Block-edge dependents are built from scalar edge
+    /// loads, so all reads stay within `[lo - R, hi + R)` — the contract the
+    /// tessellation tiles rely on. Requires `R = taps.len()/2 <= V::LANES`
+    /// and `lo >= R`, `hi + R <= src.len()`.
+    pub fn step_squares_range_1d(
+        src: &[f64],
+        dst: &mut [f64],
+        taps: &[f64],
+        lo: usize,
+        hi: usize,
+    ) = step_squares_range_1d_impl;
+}
+
+#[inline(always)]
+fn step_squares_range_1d_impl<V: SimdF64>(
     src: &[f64],
     dst: &mut [f64],
     taps: &[f64],
@@ -188,6 +200,7 @@ pub fn step_squares_range_1d<V: SimdF64>(
     crate::exec::dispatch_taps!(step_squares_range_1d_t, V, taps, (src, dst, taps, lo, hi));
 }
 
+#[inline(always)]
 fn step_squares_range_1d_t<V: SimdF64, const T: usize>(
     src: &[f64],
     dst: &mut [f64],
@@ -292,7 +305,7 @@ pub fn sweep_1d<V: SimdF64>(grid: &Grid1D, p: &Pattern, m: usize, t: usize) -> G
 
 /// Scalar construction of one transposed counterpart column: lane `j` =
 /// vertical fold of counterpart `id` at `(y0 + j, x)`.
-#[inline]
+#[inline(always)]
 fn scalar_col_2d<V: SimdF64>(
     k: &FoldedKernel,
     s: &[f64],
@@ -320,13 +333,24 @@ fn scalar_col_2d<V: SimdF64>(
     V::from_slice(&lanes[..vl])
 }
 
-/// Compute the transposed counterpart columns of the `vl`-wide block at
-/// `(y0, bx)`: `cols[id][kk]` = column `bx + kk`. Row vectors are loaded
-/// once and shared by all counterparts (the flops/byte gain of §3.3).
-/// One folded step on the rectangle `ys x xs` of a 2D grid (original
-/// layout). All reads stay within `R` of the rectangle. Caller keeps the
-/// rectangle at least `R` away from the grid boundary.
-pub fn step_range_2d<V: SimdF64>(
+crate::exec::isa_roots! {
+    /// Compute the transposed counterpart columns of the `vl`-wide block at
+    /// `(y0, bx)`: `cols[id][kk]` = column `bx + kk`. Row vectors are loaded
+    /// once and shared by all counterparts (the flops/byte gain of §3.3).
+    /// One folded step on the rectangle `ys x xs` of a 2D grid (original
+    /// layout). All reads stay within `R` of the rectangle. Caller keeps the
+    /// rectangle at least `R` away from the grid boundary.
+    pub fn step_range_2d(
+        k: &FoldedKernel,
+        src: &Grid2D,
+        dst: &mut Grid2D,
+        ys: core::ops::Range<usize>,
+        xs: core::ops::Range<usize>,
+    ) = step_range_2d_impl;
+}
+
+#[inline(always)]
+fn step_range_2d_impl<V: SimdF64>(
     k: &FoldedKernel,
     src: &Grid2D,
     dst: &mut Grid2D,
@@ -373,6 +397,7 @@ pub fn step_range_2d<V: SimdF64>(
 /// with λ(1), transpose, horizontal fold with the same scaled weights,
 /// weighted transpose back — with the previous square's last `R`
 /// transposed columns reused as shifts.
+#[inline(always)]
 fn step_range_2d_sep<V: SimdF64, const R: usize>(
     k: &FoldedKernel,
     src: &Grid2D,
@@ -456,7 +481,8 @@ fn step_range_2d_sep<V: SimdF64, const R: usize>(
         y += vl;
     }
     if y < ys.end {
-        crate::exec::scalar::step_range_2d(src, dst, &k.plan.folded, y..ys.end, xs);
+        // fewer rows than a vector group: vectorize along x instead
+        crate::exec::multiload::step_range_2d::<V>(src, dst, &k.plan.folded, y..ys.end, xs);
     }
 }
 
@@ -490,6 +516,7 @@ fn compute_sep_block_2d<V: SimdF64, const R: usize>(
     win[at..at + vl].copy_from_slice(&rows[..vl]);
 }
 
+#[inline(always)]
 fn step_range_2d_r<V: SimdF64, const R: usize>(
     k: &FoldedKernel,
     src: &Grid2D,
@@ -571,7 +598,8 @@ fn step_range_2d_r<V: SimdF64, const R: usize>(
         y += vl;
     }
     if y < ys.end {
-        crate::exec::scalar::step_range_2d(src, dst, &k.plan.folded, y..ys.end, xs);
+        // fewer rows than a vector group: vectorize along x instead
+        crate::exec::multiload::step_range_2d::<V>(src, dst, &k.plan.folded, y..ys.end, xs);
     }
 }
 
@@ -661,7 +689,7 @@ pub fn sweep_2d_with<V: SimdF64>(k: &FoldedKernel, grid: &Grid2D, p: &Pattern, t
 // 3D plan-driven kernel (z-major stack of 2D slices, §3.3)
 // ---------------------------------------------------------------------
 
-#[inline]
+#[inline(always)]
 pub(crate) fn scalar_col_3d<V: SimdF64>(
     k: &FoldedKernel,
     s: &[f64],
@@ -694,7 +722,7 @@ pub(crate) fn scalar_col_3d<V: SimdF64>(
     V::from_slice(&lanes[..vl])
 }
 
-#[inline]
+#[inline(always)]
 fn compute_block_3d<V: SimdF64>(
     k: &FoldedKernel,
     pv: &PlanV<V>,
@@ -738,8 +766,20 @@ fn compute_block_3d<V: SimdF64>(
     }
 }
 
-/// One folded step on the cuboid `zs x ys x xs` of a 3D grid.
-pub fn step_range_3d<V: SimdF64>(
+crate::exec::isa_roots! {
+    /// One folded step on the cuboid `zs x ys x xs` of a 3D grid.
+    pub fn step_range_3d(
+        k: &FoldedKernel,
+        src: &Grid3D,
+        dst: &mut Grid3D,
+        zs: core::ops::Range<usize>,
+        ys: core::ops::Range<usize>,
+        xs: core::ops::Range<usize>,
+    ) = step_range_3d_impl;
+}
+
+#[inline(always)]
+fn step_range_3d_impl<V: SimdF64>(
     k: &FoldedKernel,
     src: &Grid3D,
     dst: &mut Grid3D,
@@ -853,7 +893,8 @@ pub fn step_range_3d<V: SimdF64>(
             y += vl;
         }
         if y < ys.end {
-            crate::exec::scalar::step_range_3d(
+            // fewer rows than a vector group: vectorize along x instead
+            crate::exec::multiload::step_range_3d::<V>(
                 src,
                 dst,
                 &k.plan.folded,

@@ -89,13 +89,26 @@ impl Default for Ring3 {
     }
 }
 
-/// One folded step on the cuboid `zs × ys × xs` of a 3D grid through the
-/// z-ring pipeline. Same contract as the legacy
-/// [`crate::exec::folded::step_range_3d`]: writes exactly the region,
-/// reads within `R` of it, caller keeps the region `R` from the grid
-/// boundary. Degenerate widths and out-of-bound radii (unreachable
-/// through the Plan API) degrade to the scalar folded sweep — no panic.
-pub fn step_range_3d_ring<V: SimdF64>(
+crate::exec::isa_roots! {
+    /// One folded step on the cuboid `zs × ys × xs` of a 3D grid through the
+    /// z-ring pipeline. Same contract as the legacy
+    /// [`crate::exec::folded::step_range_3d`]: writes exactly the region,
+    /// reads within `R` of it, caller keeps the region `R` from the grid
+    /// boundary. Degenerate widths and out-of-bound radii (unreachable
+    /// through the Plan API) degrade to the scalar folded sweep — no panic.
+    pub fn step_range_3d_ring(
+        k: &FoldedKernel,
+        ring: Ring3,
+        src: &Grid3D,
+        dst: &mut Grid3D,
+        zs: Range<usize>,
+        ys: Range<usize>,
+        xs: Range<usize>,
+    ) = step_range_3d_ring_impl;
+}
+
+#[inline(always)]
+fn step_range_3d_ring_impl<V: SimdF64>(
     k: &FoldedKernel,
     ring: Ring3,
     src: &Grid3D,
@@ -161,6 +174,7 @@ fn put_scratch<V: SimdF64>(sc: Scratch<V>) {
     });
 }
 
+#[inline(always)]
 fn step_ring_r<V: SimdF64, const R: usize>(
     k: &FoldedKernel,
     ring: Ring3,
@@ -226,21 +240,25 @@ fn step_ring_r<V: SimdF64, const R: usize>(
         let mut z0 = zs.start;
         while z0 < zs.end {
             let nz = depth.min(zs.end - z0);
-            // march one slab's blocks into the given pane
-            let march = |cols: &mut [[V; 8]], pane: usize, b0: usize, nb: usize| {
-                for b in 0..nb {
-                    let base = pane * pane_len + b * depth * nids;
-                    let bx = xlo + (b0 + b) * vl;
-                    let dest = &mut cols[base..base + nz * nids];
-                    if let Some(sv) = &sep {
-                        march_sep::<V, R>(sv, s, sy, sz, z0, nz, y, bx, dest);
-                    } else {
-                        march_gen::<V, R>(k, &pv, s, sy, sz, z0, nz, y, bx, nids, dest);
+            // march one slab's blocks into the given pane (a macro, not
+            // a closure: a closure would compile for the baseline ISA
+            // instead of the caller's target-feature root)
+            macro_rules! march {
+                ($pane:expr, $b0:expr, $nb:expr) => {
+                    for b in 0..$nb {
+                        let base = $pane * pane_len + b * depth * nids;
+                        let bx = xlo + ($b0 + b) * vl;
+                        let dest = &mut cols[base..base + nz * nids];
+                        if let Some(sv) = &sep {
+                            march_sep::<V, R>(sv, s, sy, sz, z0, nz, y, bx, dest);
+                        } else {
+                            march_gen::<V, R>(k, &pv, s, sy, sz, z0, nz, y, bx, nids, dest);
+                        }
                     }
-                }
-            };
+                };
+            }
             let mut cur = 0usize;
-            march(cols, cur, 0, slab.min(nfull));
+            march!(cur, 0, slab.min(nfull));
             let mut b0 = 0usize;
             while b0 < nfull {
                 let nb = slab.min(nfull - b0);
@@ -249,7 +267,7 @@ fn step_ring_r<V: SimdF64, const R: usize>(
                 let next_nb = slab.min(nfull.saturating_sub(next_b0));
                 if next_nb > 0 {
                     // phase A of the next slab, ahead of this phase B
-                    march(cols, 1 - cur, next_b0, next_nb);
+                    march!(1 - cur, next_b0, next_nb);
                 }
                 // phase B: per z, horizontal fold + weighted transpose
                 let pane = cur * pane_len;
@@ -337,7 +355,8 @@ fn step_ring_r<V: SimdF64, const R: usize>(
         y += vl;
     }
     if y < ys.end {
-        crate::exec::scalar::step_range_3d(src, dst, k.folded(), zs.clone(), y..ys.end, xs);
+        // fewer rows than a vector group: vectorize along x instead
+        crate::exec::multiload::step_range_3d::<V>(src, dst, k.folded(), zs.clone(), y..ys.end, xs);
     }
     put_scratch(scratch);
 }
@@ -421,6 +440,7 @@ impl<V: SimdF64, const R: usize> SepV<V, R> {
     /// folds). Requires the plan to be separable in the Fig.-5 sense
     /// (single dense counterpart) *and* the tap matrix to factor exactly
     /// to rounding; anything else runs the generic march.
+    #[inline(always)]
     fn detect(k: &FoldedKernel) -> Option<Self> {
         if k.folded().dims() != 3 || !k.is_separable() {
             return None;

@@ -13,12 +13,24 @@ use crate::pattern::Pattern;
 use stencil_grid::{Grid1D, Grid2D, Grid3D, PingPong};
 use stencil_simd::SimdF64;
 
-/// One Jacobi step on `dst[lo..hi]`, vectorized with unaligned loads.
-/// Dispatches on the tap count so the hot loop fully unrolls.
-pub fn step_range_1d<V: SimdF64>(src: &[f64], dst: &mut [f64], taps: &[f64], lo: usize, hi: usize) {
+crate::exec::isa_roots! {
+    /// One Jacobi step on `dst[lo..hi]`, vectorized with unaligned loads.
+    /// Dispatches on the tap count so the hot loop fully unrolls.
+    pub fn step_range_1d(src: &[f64], dst: &mut [f64], taps: &[f64], lo: usize, hi: usize) = step_range_1d_impl;
+}
+
+#[inline(always)]
+fn step_range_1d_impl<V: SimdF64>(
+    src: &[f64],
+    dst: &mut [f64],
+    taps: &[f64],
+    lo: usize,
+    hi: usize,
+) {
     dispatch_taps!(step_range_1d_t, V, taps, (src, dst, taps, lo, hi));
 }
 
+#[inline(always)]
 fn step_range_1d_t<V: SimdF64, const T: usize>(
     src: &[f64],
     dst: &mut [f64],
@@ -74,8 +86,19 @@ pub fn sweep_1d<V: SimdF64>(pp: &mut PingPong<Grid1D>, p: &Pattern, t: usize) {
     }
 }
 
-/// One 2D Jacobi step on rectangle `ys x xs`, row-vectorized.
-pub fn step_range_2d<V: SimdF64>(
+crate::exec::isa_roots! {
+    /// One 2D Jacobi step on rectangle `ys x xs`, row-vectorized.
+    pub fn step_range_2d(
+        src: &Grid2D,
+        dst: &mut Grid2D,
+        p: &Pattern,
+        ys: core::ops::Range<usize>,
+        xs: core::ops::Range<usize>,
+    ) = step_range_2d_impl;
+}
+
+#[inline(always)]
+fn step_range_2d_impl<V: SimdF64>(
     src: &Grid2D,
     dst: &mut Grid2D,
     p: &Pattern,
@@ -147,8 +170,20 @@ pub fn sweep_2d<V: SimdF64>(pp: &mut PingPong<Grid2D>, p: &Pattern, t: usize) {
     }
 }
 
-/// One 3D Jacobi step on cuboid `zs x ys x xs`, row-vectorized.
-pub fn step_range_3d<V: SimdF64>(
+crate::exec::isa_roots! {
+    /// One 3D Jacobi step on cuboid `zs x ys x xs`, row-vectorized.
+    pub fn step_range_3d(
+        src: &Grid3D,
+        dst: &mut Grid3D,
+        p: &Pattern,
+        zs: core::ops::Range<usize>,
+        ys: core::ops::Range<usize>,
+        xs: core::ops::Range<usize>,
+    ) = step_range_3d_impl;
+}
+
+#[inline(always)]
+fn step_range_3d_impl<V: SimdF64>(
     src: &Grid3D,
     dst: &mut Grid3D,
     p: &Pattern,

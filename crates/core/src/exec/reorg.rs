@@ -39,9 +39,20 @@ fn offset_vec<V: SimdF64>(prev: V, cur: V, next: V, off: isize) -> V {
     }
 }
 
-/// One Jacobi step on `dst[lo..hi]` using aligned loads + shuffles.
-/// Requires `r <= V::LANES`.
-pub fn step_range_1d<V: SimdF64>(src: &[f64], dst: &mut [f64], taps: &[f64], lo: usize, hi: usize) {
+crate::exec::isa_roots! {
+    /// One Jacobi step on `dst[lo..hi]` using aligned loads + shuffles.
+    /// Requires `r <= V::LANES`.
+    pub fn step_range_1d(src: &[f64], dst: &mut [f64], taps: &[f64], lo: usize, hi: usize) = step_range_1d_impl;
+}
+
+#[inline(always)]
+fn step_range_1d_impl<V: SimdF64>(
+    src: &[f64],
+    dst: &mut [f64],
+    taps: &[f64],
+    lo: usize,
+    hi: usize,
+) {
     let r = taps.len() / 2;
     let vl = V::LANES;
     assert!(r <= vl, "reorg executor requires r <= vector length");

@@ -20,15 +20,21 @@ use stencil_grid::{Grid1D, PingPong};
 use stencil_simd::assemble::neighbor_vector;
 use stencil_simd::SimdF64;
 
-/// One Jacobi step over a buffer already in transpose layout.
-///
-/// Full interior blocks are processed as vector sets; the first and last
-/// blocks and the non-covered tail fall back to scalar accesses through
-/// the layout's index map. Requires `r <= V::LANES`.
-pub fn step_x<V: SimdF64>(src: &[f64], dst: &mut [f64], taps: &[f64]) {
+crate::exec::isa_roots! {
+    /// One Jacobi step over a buffer already in transpose layout.
+    ///
+    /// Full interior blocks are processed as vector sets; the first and last
+    /// blocks and the non-covered tail fall back to scalar accesses through
+    /// the layout's index map. Requires `r <= V::LANES`.
+    pub fn step_x(src: &[f64], dst: &mut [f64], taps: &[f64]) = step_x_impl;
+}
+
+#[inline(always)]
+fn step_x_impl<V: SimdF64>(src: &[f64], dst: &mut [f64], taps: &[f64]) {
     crate::exec::dispatch_taps!(step_x_t, V, taps, (src, dst, taps));
 }
 
+#[inline(always)]
 fn step_x_t<V: SimdF64, const T: usize>(src: &[f64], dst: &mut [f64], taps: &[f64]) {
     let nt = crate::exec::tap_count::<T>(taps);
     let n = src.len();
@@ -94,10 +100,10 @@ fn step_x_t<V: SimdF64, const T: usize>(src: &[f64], dst: &mut [f64], taps: &[f6
     for i in 0..first_edge_end {
         scalar_cell(i, dst);
     }
-    if nblocks >= 2 {
-        for i in (nblocks - 1) * block..n {
-            scalar_cell(i, dst);
-        }
+    // the last full block (when it is not block 0) and the tail — which
+    // follows block 0 directly when there is only one full block
+    for i in first_edge_end.max(nblocks.saturating_sub(1) * block)..n {
+        scalar_cell(i, dst);
     }
 }
 
@@ -122,6 +128,7 @@ pub struct XLayoutSweep1D<V: SimdF64> {
 impl<V: SimdF64> XLayoutSweep1D<V> {
     /// Transform `grid` into the transpose layout (performed "twice
     /// before and after the stencil computation" — paper §2.2).
+    #[inline(always)]
     pub fn new(grid: &Grid1D) -> Self {
         let lay = TransposeLayout::new(V::LANES);
         let mut a = grid.clone();
@@ -135,6 +142,7 @@ impl<V: SimdF64> XLayoutSweep1D<V> {
     }
 
     /// Advance `t` single steps with taps.
+    #[inline(always)]
     pub fn steps(&mut self, taps: &[f64], t: usize) {
         for _ in 0..t {
             let (src, dst) = self.bufs.src_dst();
@@ -144,6 +152,7 @@ impl<V: SimdF64> XLayoutSweep1D<V> {
     }
 
     /// Advance `t` folded steps (each advancing `m` time levels).
+    #[inline(always)]
     pub fn steps_folded(&mut self, taps: &[f64], t: usize, m: usize) {
         for _ in 0..t {
             let (src, dst) = self.bufs.src_dst();
@@ -153,6 +162,7 @@ impl<V: SimdF64> XLayoutSweep1D<V> {
     }
 
     /// Undo the layout and return the latest grid.
+    #[inline(always)]
     pub fn into_grid(self) -> Grid1D {
         let lay = TransposeLayout::new(self.vl);
         let mut g = self.bufs.into_current();
@@ -161,8 +171,13 @@ impl<V: SimdF64> XLayoutSweep1D<V> {
     }
 }
 
-/// "Our" block-free sweep: transform, `t` steps, transform back.
-pub fn sweep_1d<V: SimdF64>(grid: &Grid1D, p: &Pattern, t: usize) -> Grid1D {
+crate::exec::isa_roots! {
+    /// "Our" block-free sweep: transform, `t` steps, transform back.
+    pub fn sweep_1d(grid: &Grid1D, p: &Pattern, t: usize) -> Grid1D = sweep_1d_impl;
+}
+
+#[inline(always)]
+fn sweep_1d_impl<V: SimdF64>(grid: &Grid1D, p: &Pattern, t: usize) -> Grid1D {
     assert_eq!(p.dims(), 1);
     let mut s = XLayoutSweep1D::<V>::new(grid);
     s.steps(p.weights(), t);
@@ -179,10 +194,21 @@ pub fn sweep_folded_1d<V: SimdF64>(grid: &Grid1D, p: &Pattern, m: usize, t: usiz
     sweep_folded_1d_with::<V>(grid, p.weights(), &folded, m, t)
 }
 
-/// [`sweep_folded_1d`] with the folded pattern Λ supplied by the caller —
-/// the compile-once/run-many entry point: a plan computes Λ once and
-/// reuses it across every run.
-pub fn sweep_folded_1d_with<V: SimdF64>(
+crate::exec::isa_roots! {
+    /// [`sweep_folded_1d`] with the folded pattern Λ supplied by the caller —
+    /// the compile-once/run-many entry point: a plan computes Λ once and
+    /// reuses it across every run.
+    pub fn sweep_folded_1d_with(
+        grid: &Grid1D,
+        base_taps: &[f64],
+        folded: &Pattern,
+        m: usize,
+        t: usize,
+    ) -> Grid1D = sweep_folded_1d_with_impl;
+}
+
+#[inline(always)]
+fn sweep_folded_1d_with_impl<V: SimdF64>(
     grid: &Grid1D,
     base_taps: &[f64],
     folded: &Pattern,
@@ -273,6 +299,26 @@ mod tests {
         let out = sweep_folded_1d::<NativeF64x4>(&g, &p, 2, 5);
         for i in 12..n - 12 {
             assert!((want[i] - out[i]).abs() < 1e-12, "i={i}");
+        }
+    }
+
+    #[test]
+    fn one_full_block_plus_tail_updates_the_tail() {
+        // vl*vl <= n < 2*vl*vl: the tail after the only full block is
+        // computed by the scalar edge path
+        let p = kernels::heat1d();
+        for (n, vl) in [(110usize, 8usize), (20, 4), (31, 4)] {
+            let g = Grid1D::from_fn(n, |i| ((i * 37 + 11) % 101) as f64 * 0.01);
+            let want = scalar_ref(&g, &p, 2);
+            let got = if vl == 8 {
+                sweep_1d::<NativeF64x8>(&g, &p, 2)
+            } else {
+                sweep_1d::<NativeF64x4>(&g, &p, 2)
+            };
+            assert!(
+                max_abs_diff(want.as_slice(), got.as_slice()) < 1e-12,
+                "n={n}"
+            );
         }
     }
 

@@ -70,3 +70,4 @@ pub mod tune;
 pub use api::{Domain, Method, Plan, PlanError, Ring3, Solver, Tiling, Tuning, Width};
 pub use pattern::{Pattern, Shape};
 pub use plan::FoldPlan;
+pub use stencil_simd::Isa;

@@ -33,11 +33,12 @@
 //!   full run's group phase with no mid-grid remainder — which covers
 //!   the *block-free* sweep (whose origin is the grid edge). Under
 //!   **tessellate tiling** the tile geometry itself is the hazard:
-//!   since [`DimTiling`] anchors tile phase to global coordinates, a
-//!   slab executed through `Plan::run_*_at` with its global origin
-//!   reproduces every interior tile of the full run exactly. Only the
-//!   slab-edge tiles diverge (they see a frozen band where the full
-//!   run has live cells), so the halo grows by one tile width — the
+//!   since [`DimTiling`](crate::tile::DimTiling) anchors tile phase to
+//!   global coordinates, a slab executed through `Plan::run_*_at` with
+//!   its global origin reproduces every interior tile of the full run
+//!   exactly. Only the slab-edge tiles diverge (they see a frozen band
+//!   where the full run has live cells), so the halo grows by one
+//!   outer-axis tile width ([`crate::tile::tile_size`]) — the
 //!   divergence starts inside the edge tile and travels inward at one
 //!   effective radius per inner step, exactly like the classic bound —
 //!   and every slab must stay large enough to run the same per-round
@@ -62,7 +63,7 @@
 //! unit.
 
 use crate::api::{Method, Plan, Tiling};
-use crate::tile::DimTiling;
+use crate::tile::{tile_size, TileSize};
 
 /// Slab starts are aligned down to this many outer-axis layers — the
 /// widest vector lane count, so every register pipeline's row grouping
@@ -94,19 +95,16 @@ pub fn shardable(plan: &Plan) -> bool {
 /// The base halo is the classic contamination bound `t * r`. For
 /// register pipelines under tessellate tiling, the slab's edge tiles
 /// diverge from the full run's (the slab edge is a frozen band), so
-/// divergence can start anywhere inside the widest tile: the halo
-/// grows by one tile width `2 * r_step * tb_round`, computed for both
-/// the folded body rounds and the `t % m` unfolded tail rounds. The
-/// returned minimum span keeps every slab able to run the same
-/// per-round time blocks as the full run — the condition under which
-/// the per-round tile geometry (and therefore every kernel call on
-/// interior tiles) is identical, making the stitch bit-exact.
+/// divergence can start anywhere inside the edge tile: the halo grows
+/// by one tile width ([`tile_size`]), computed for both the folded
+/// body rounds and the `t % m` unfolded tail rounds. The returned
+/// minimum span keeps every slab able to run the full run's time block
+/// — the condition under which the tile width and every round's tile
+/// geometry (and therefore every kernel call on interior tiles) is
+/// identical, making the stitch bit-exact.
 pub fn shard_geometry(plan: &Plan, t: usize, outer: usize, inners: &[usize]) -> (usize, usize) {
     let r = plan.pattern().radius();
     let base = t * r;
-    let Tiling::Tessellate { time_block } = plan.tiling() else {
-        return (base, 0);
-    };
     if !matches!(
         plan.method(),
         Method::TransposeLayout | Method::Folded { .. }
@@ -114,27 +112,29 @@ pub fn shard_geometry(plan: &Plan, t: usize, outer: usize, inners: &[usize]) -> 
         // row-independent kernels are bit-exact under any slab geometry
         return (base, 0);
     }
-    let round_tb = |rad: usize, steps: usize| -> usize {
-        if steps == 0 || rad == 0 {
-            return 0;
-        }
-        let mut tb = DimTiling::max_tb(outer, rad, rad, time_block);
-        for &n in inners {
-            tb = tb.min(DimTiling::max_tb(n, rad, rad, time_block));
-        }
-        tb.min(steps)
-    };
+    let extents: Vec<usize> = std::iter::once(outer)
+        .chain(inners.iter().copied())
+        .collect();
     let reff = plan.effective_radius();
     let mut extra = 0usize;
     let mut min_span = 0usize;
     for (rad, steps) in [(reff, t / plan.m()), (r, t % plan.m())] {
-        let tb = round_tb(rad, steps);
-        if tb > 0 {
-            extra = extra.max(2 * rad * tb);
-            min_span = min_span.max(2 * rad * (tb + 1));
+        if let Some(ts) = plan_tile_size(plan, rad, steps, &extents) {
+            // slabs cut the outer axis, whose tiles are `w` wide
+            extra = extra.max(ts.w);
+            min_span = min_span.max(2 * rad * (ts.tb + 1));
         }
     }
     (base + extra, min_span)
+}
+
+/// The tile size a tessellate `plan` runs `steps` inner steps of radius
+/// `rad` with on a domain of `extents` (`None` when no round runs).
+fn plan_tile_size(plan: &Plan, rad: usize, steps: usize, extents: &[usize]) -> Option<TileSize> {
+    let Tiling::Tessellate { time_block } = plan.tiling() else {
+        return None;
+    };
+    (steps > 0 && rad > 0).then(|| tile_size(extents, rad, rad, time_block, plan.width().lanes()))
 }
 
 /// The slab a shard of interior `[lo, hi)` reads: the interior plus a
@@ -238,24 +238,9 @@ pub fn effective_shards(
 ///   `min(time_block, per-dimension interior caps)`.
 pub fn pass_quantum(plan: &Plan, extents: &[usize]) -> usize {
     let m = plan.m().max(1);
-    let Tiling::Tessellate { time_block } = plan.tiling() else {
-        return m;
-    };
-    let reff = plan.effective_radius();
-    if reff == 0 {
-        return m;
-    }
-    let mut c = time_block.max(1);
-    for &n in extents {
-        // domains below the Dirichlet band cannot run at all; cap at 1
-        // instead of underflowing so callers get a typed error later
-        c = c.min(if n > 2 * reff {
-            DimTiling::max_tb(n, reff, reff, time_block)
-        } else {
-            1
-        });
-    }
-    m * c.max(1)
+    // domains below the Dirichlet band cannot run at all; their cap
+    // clamps to 1 so callers get a typed error later
+    plan_tile_size(plan, plan.effective_radius(), 1, extents).map_or(m, |ts| m * ts.tb)
 }
 
 #[cfg(test)]

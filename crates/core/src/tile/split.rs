@@ -73,9 +73,20 @@ impl RingTiling {
     }
 }
 
-/// SDSL-style 1D sweep: DLT transform, split-tiled `t` steps, transform
-/// back. `grid.len()` must be a multiple of `V::LANES`.
-pub fn sweep_1d<V: SimdF64>(
+crate::exec::isa_roots! {
+    /// SDSL-style 1D sweep: DLT transform, split-tiled `t` steps, transform
+    /// back. `grid.len()` must be a multiple of `V::LANES`.
+    pub fn sweep_1d(
+        pool: &ThreadPool,
+        grid: &Grid1D,
+        p: &Pattern,
+        tb: usize,
+        t_steps: usize,
+    ) -> Grid1D = sweep_1d_impl;
+}
+
+#[inline(always)]
+fn sweep_1d_impl<V: SimdF64>(
     pool: &ThreadPool,
     grid: &Grid1D,
     p: &Pattern,
@@ -144,9 +155,19 @@ pub fn sweep_1d<V: SimdF64>(
     out
 }
 
-/// One 2D step over DLT-lifted rows: `ys` rows, all lifted columns.
-/// `src`/`dst` hold each row in DLT layout (`nx = cols * vl`).
-fn step_dlt_rows_2d<V: SimdF64>(
+crate::exec::isa_roots! {
+    /// One 2D step over DLT-lifted rows: `ys` rows, all lifted columns.
+    /// `src`/`dst` hold each row in DLT layout (`nx = cols * vl`).
+    fn step_dlt_rows_2d(
+        src: &Grid2D,
+        dst: &mut Grid2D,
+        p: &Pattern,
+        ys: core::ops::Range<usize>,
+    ) = step_dlt_rows_2d_impl;
+}
+
+#[inline(always)]
+fn step_dlt_rows_2d_impl<V: SimdF64>(
     src: &Grid2D,
     dst: &mut Grid2D,
     p: &Pattern,
@@ -203,9 +224,20 @@ fn dlt_vec_at<V: SimdF64>(row: &[f64], cols: usize, q: isize) -> V {
     }
 }
 
-/// SDSL-style 2D sweep: DLT along x, split-tiling triangles along y.
-/// `grid.nx()` must be a multiple of `V::LANES`.
-pub fn sweep_2d<V: SimdF64>(
+crate::exec::isa_roots! {
+    /// SDSL-style 2D sweep: DLT along x, split-tiling triangles along y.
+    /// `grid.nx()` must be a multiple of `V::LANES`.
+    pub fn sweep_2d(
+        pool: &ThreadPool,
+        grid: &Grid2D,
+        p: &Pattern,
+        tb: usize,
+        t_steps: usize,
+    ) -> Grid2D = sweep_2d_impl;
+}
+
+#[inline(always)]
+fn sweep_2d_impl<V: SimdF64>(
     pool: &ThreadPool,
     grid: &Grid2D,
     p: &Pattern,
@@ -264,9 +296,19 @@ pub fn sweep_2d<V: SimdF64>(
     out
 }
 
-/// One 3D step over DLT-lifted rows: planes `zs`, all rows, all lifted
-/// columns.
-fn step_dlt_rows_3d<V: SimdF64>(
+crate::exec::isa_roots! {
+    /// One 3D step over DLT-lifted rows: planes `zs`, all rows, all lifted
+    /// columns.
+    fn step_dlt_rows_3d(
+        src: &stencil_grid::Grid3D,
+        dst: &mut stencil_grid::Grid3D,
+        p: &Pattern,
+        zs: core::ops::Range<usize>,
+    ) = step_dlt_rows_3d_impl;
+}
+
+#[inline(always)]
+fn step_dlt_rows_3d_impl<V: SimdF64>(
     src: &stencil_grid::Grid3D,
     dst: &mut stencil_grid::Grid3D,
     p: &Pattern,
@@ -315,9 +357,20 @@ fn step_dlt_rows_3d<V: SimdF64>(
     }
 }
 
-/// SDSL-style 3D sweep: DLT along x, split-tiling triangles along z,
-/// full y sweeps. `grid.nx()` must be a multiple of `V::LANES`.
-pub fn sweep_3d<V: SimdF64>(
+crate::exec::isa_roots! {
+    /// SDSL-style 3D sweep: DLT along x, split-tiling triangles along z,
+    /// full y sweeps. `grid.nx()` must be a multiple of `V::LANES`.
+    pub fn sweep_3d(
+        pool: &ThreadPool,
+        grid: &stencil_grid::Grid3D,
+        p: &Pattern,
+        tb: usize,
+        t_steps: usize,
+    ) -> stencil_grid::Grid3D = sweep_3d_impl;
+}
+
+#[inline(always)]
+fn sweep_3d_impl<V: SimdF64>(
     pool: &ThreadPool,
     grid: &stencil_grid::Grid3D,
     p: &Pattern,

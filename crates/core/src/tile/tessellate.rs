@@ -2,7 +2,9 @@
 //!
 //! Each driver advances a ping-pong pair by `steps` *inner* steps (an
 //! inner step is whatever the kernel does — one time level for plain
-//! kernels, `m` levels for folded ones), in rounds of at most `tb` steps.
+//! kernels, `m` levels for folded ones), in rounds of at most `tb` steps,
+//! on tiles sized by [`tile_size`] from `tb` and the kernel's vector
+//! width `lanes`.
 //! Within a round the stages run under pool barriers; tiles within a
 //! stage run in parallel, each executing its whole time loop (the
 //! temporal reuse that makes tessellation a cache-blocking scheme).
@@ -11,7 +13,7 @@
 //! `kernel(src, dst, region)` writes exactly `region` of `dst` and reads
 //! only within `reff` of `region` in `src`.
 
-use crate::tile::{DimTiling, RawPair};
+use crate::tile::{tile_size, DimTiling, RawPair};
 use core::ops::Range;
 use stencil_grid::{Grid1D, Grid2D, Grid3D, PingPong};
 use stencil_runtime::{parallel_for, ThreadPool};
@@ -19,23 +21,27 @@ use stencil_runtime::{parallel_for, ThreadPool};
 /// Tessellated 1D run: advances `pp` by `steps` inner steps.
 ///
 /// `reff`: radius of one inner step; `band`: Dirichlet band width;
-/// `tb`: requested inner steps per round; `kernel(src, dst, lo, hi)`.
+/// `tb`: requested inner steps per round; `lanes`: the kernel's vector
+/// width; `kernel(src, dst, lo, hi)`.
+#[allow(clippy::too_many_arguments)] // the tile-size inputs ride along
 pub fn run_1d<K>(
     pool: &ThreadPool,
     pp: &mut PingPong<Grid1D>,
     reff: usize,
     band: usize,
     tb: usize,
+    lanes: usize,
     steps: usize,
     kernel: &K,
 ) where
     K: Fn(&[f64], &mut [f64], usize, usize) + Sync,
 {
     let n = pp.current().len();
+    let ts = tile_size(&[n], band, reff, tb, lanes);
     let mut remaining = steps;
     while remaining > 0 {
-        let tb_round = DimTiling::max_tb(n, band, reff, tb).min(remaining);
-        let dim = DimTiling::new(n, band, reff, tb_round);
+        let tb_round = ts.tb.min(remaining);
+        let dim = DimTiling::with_width(n, band, reff, tb_round, ts.wx, 0);
         let (cur, scratch) = pp.both_mut();
         let pair = RawPair::new(cur, scratch);
         for stage_inv in [false, true] {
@@ -67,18 +73,20 @@ pub fn run_1d<K>(
 }
 
 /// Tessellated 2D run. Stages: TT, VT (x-valley), TV (y-valley), VV.
+#[allow(clippy::too_many_arguments)] // the tile-size inputs ride along
 pub fn run_2d<K>(
     pool: &ThreadPool,
     pp: &mut PingPong<Grid2D>,
     reff: usize,
     band: usize,
     tb: usize,
+    lanes: usize,
     steps: usize,
     kernel: &K,
 ) where
     K: Fn(&Grid2D, &mut Grid2D, Range<usize>, Range<usize>) + Sync,
 {
-    run_2d_at(pool, pp, reff, band, tb, steps, 0, kernel)
+    run_2d_at(pool, pp, reff, band, tb, lanes, steps, 0, kernel)
 }
 
 /// [`run_2d`] over a local window whose outer (y) axis starts at global
@@ -92,6 +100,7 @@ pub fn run_2d_at<K>(
     reff: usize,
     band: usize,
     tb: usize,
+    lanes: usize,
     steps: usize,
     origin_y: usize,
     kernel: &K,
@@ -99,13 +108,12 @@ pub fn run_2d_at<K>(
     K: Fn(&Grid2D, &mut Grid2D, Range<usize>, Range<usize>) + Sync,
 {
     let (ny, nx) = (pp.current().ny(), pp.current().nx());
+    let ts = tile_size(&[ny, nx], band, reff, tb, lanes);
     let mut remaining = steps;
     while remaining > 0 {
-        let tb_round = DimTiling::max_tb(ny, band, reff, tb)
-            .min(DimTiling::max_tb(nx, band, reff, tb))
-            .min(remaining);
-        let dy = DimTiling::new_at(ny, band, reff, tb_round, origin_y);
-        let dx = DimTiling::new(nx, band, reff, tb_round);
+        let tb_round = ts.tb.min(remaining);
+        let dy = DimTiling::with_width(ny, band, reff, tb_round, ts.w, origin_y);
+        let dx = DimTiling::with_width(nx, band, reff, tb_round, ts.wx, 0);
         let (cur, scratch) = pp.both_mut();
         let pair = RawPair::new(cur, scratch);
         for stage in 0..4u32 {
@@ -138,18 +146,20 @@ pub fn run_2d_at<K>(
 }
 
 /// Tessellated 3D run (8 stages: every triangle/inverted choice per dim).
+#[allow(clippy::too_many_arguments)] // the tile-size inputs ride along
 pub fn run_3d<K>(
     pool: &ThreadPool,
     pp: &mut PingPong<Grid3D>,
     reff: usize,
     band: usize,
     tb: usize,
+    lanes: usize,
     steps: usize,
     kernel: &K,
 ) where
     K: Fn(&Grid3D, &mut Grid3D, Range<usize>, Range<usize>, Range<usize>) + Sync,
 {
-    run_3d_at(pool, pp, reff, band, tb, steps, 0, kernel)
+    run_3d_at(pool, pp, reff, band, tb, lanes, steps, 0, kernel)
 }
 
 /// [`run_3d`] over a local window whose outer (z) axis starts at global
@@ -161,6 +171,7 @@ pub fn run_3d_at<K>(
     reff: usize,
     band: usize,
     tb: usize,
+    lanes: usize,
     steps: usize,
     origin_z: usize,
     kernel: &K,
@@ -168,15 +179,13 @@ pub fn run_3d_at<K>(
     K: Fn(&Grid3D, &mut Grid3D, Range<usize>, Range<usize>, Range<usize>) + Sync,
 {
     let (nz, ny, nx) = (pp.current().nz(), pp.current().ny(), pp.current().nx());
+    let ts = tile_size(&[nz, ny, nx], band, reff, tb, lanes);
     let mut remaining = steps;
     while remaining > 0 {
-        let tb_round = DimTiling::max_tb(nz, band, reff, tb)
-            .min(DimTiling::max_tb(ny, band, reff, tb))
-            .min(DimTiling::max_tb(nx, band, reff, tb))
-            .min(remaining);
-        let dz = DimTiling::new_at(nz, band, reff, tb_round, origin_z);
-        let dy = DimTiling::new(ny, band, reff, tb_round);
-        let dx = DimTiling::new(nx, band, reff, tb_round);
+        let tb_round = ts.tb.min(remaining);
+        let dz = DimTiling::with_width(nz, band, reff, tb_round, ts.w, origin_z);
+        let dy = DimTiling::with_width(ny, band, reff, tb_round, ts.wx, 0);
+        let dx = DimTiling::with_width(nx, band, reff, tb_round, ts.wx, 0);
         let (cur, scratch) = pp.both_mut();
         let pair = RawPair::new(cur, scratch);
         for stage in 0..8u32 {
@@ -238,6 +247,7 @@ mod tests {
             1,
             1,
             4,
+            1,
             steps,
             &|s: &[f64], d: &mut [f64], lo, hi| scalar::step_range_1d(s, d, &taps, lo, hi),
         );
@@ -261,6 +271,7 @@ mod tests {
             2,
             2,
             5,
+            4,
             steps,
             &|s: &[f64], d: &mut [f64], lo, hi| {
                 multiload::step_range_1d::<NativeF64x4>(s, d, &taps, lo, hi)
@@ -287,6 +298,7 @@ mod tests {
             2,
             2,
             3,
+            4,
             folded_steps,
             &|s: &[f64], d: &mut [f64], lo, hi| {
                 folded::step_squares_range_1d::<NativeF64x4>(s, d, &taps, lo, hi)
@@ -310,6 +322,7 @@ mod tests {
                 1,
                 1,
                 3,
+                4,
                 steps,
                 &|s: &Grid2D, d: &mut Grid2D, ys, xs| {
                     multiload::step_range_2d::<NativeF64x4>(s, d, &pc, ys, xs)
@@ -339,6 +352,7 @@ mod tests {
             2,
             2,
             2,
+            4,
             folded_steps,
             &|s: &Grid2D, d: &mut Grid2D, ys, xs| {
                 folded::step_range_2d::<NativeF64x4>(&k, s, d, ys, xs)
@@ -362,6 +376,7 @@ mod tests {
             1,
             1,
             2,
+            4,
             steps,
             &|s: &Grid3D, d: &mut Grid3D, zs, ys, xs| {
                 multiload::step_range_3d::<NativeF64x4>(s, d, &pc, zs, ys, xs)
@@ -388,6 +403,7 @@ mod tests {
                 1,
                 1,
                 6,
+                1,
                 24,
                 &|s: &[f64], d: &mut [f64], lo, hi| scalar::step_range_1d(s, d, &taps, lo, hi),
             );
@@ -410,6 +426,7 @@ mod tests {
             1,
             1,
             1000,
+            1,
             10,
             &|s: &[f64], d: &mut [f64], lo, hi| scalar::step_range_1d(s, d, &taps, lo, hi),
         );
@@ -430,6 +447,7 @@ mod tests {
             1,
             1,
             3,
+            4,
             steps,
             &|s: &Grid2D, d: &mut Grid2D, ys, xs| life::step_range::<NativeF64x4>(s, d, ys, xs),
         );
@@ -456,6 +474,7 @@ mod tests {
                 1,
                 1,
                 tb,
+                1,
                 steps,
                 &|s: &Grid2D, d: &mut Grid2D, ys, xs| scalar::step_range_2d(s, d, &pc, ys, xs),
             );

@@ -256,6 +256,11 @@ mod tests {
                 }
             })
         };
+        // the reads must overlap the writes: wait until the writer thread
+        // has been scheduled and pushed at least once
+        while ring.pushed() == 0 {
+            std::hint::spin_loop();
+        }
         let mut seen = 0usize;
         for _ in 0..200 {
             for e in ring.events() {

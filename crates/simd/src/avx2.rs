@@ -1,8 +1,11 @@
 //! AVX2 backend: `__m256d` (4 x f64).
 //!
-//! Compiled only when `avx2` is statically enabled (the workspace builds
-//! with `target-cpu=native`), so every intrinsic here is statically
-//! guaranteed to exist — no runtime dispatch inside the hot loops.
+//! Compiled into every x86_64 build. The operations are safe functions
+//! that execute AVX2/FMA instructions, so a value of [`F64x4`] must only
+//! be created on a CPU where [`crate::Isa::detect`] reports at least
+//! [`crate::Isa::Avx2`]. Kernels call them from inside an
+//! `#[target_feature(enable = "avx2,fma")]` function, where every
+//! intrinsic below inlines to a single instruction.
 //!
 //! The lane shuffles map 1:1 onto the instructions named in the paper:
 //!
@@ -26,7 +29,7 @@ impl F64x4 {
     /// Construct from lane values (lane 0 first).
     #[inline(always)]
     pub fn new(lanes: [f64; 4]) -> Self {
-        // SAFETY: avx2 statically enabled for this module.
+        // SAFETY: F64x4 values exist only on AVX2 hosts (module docs).
         unsafe { Self(_mm256_loadu_pd(lanes.as_ptr())) }
     }
 
@@ -42,6 +45,7 @@ impl F64x4 {
 
 impl SimdF64 for F64x4 {
     const LANES: usize = 4;
+    const ISA: crate::Isa = crate::Isa::Avx2;
 
     #[inline(always)]
     fn splat(x: f64) -> Self {
@@ -73,16 +77,12 @@ impl SimdF64 for F64x4 {
         unsafe { Self(_mm256_mul_pd(self.0, o.0)) }
     }
 
+    /// Always the fused `vfmadd`: AVX2 hosts are detected together with
+    /// FMA, and the fused result is bit-identical to the portable
+    /// backend's `f64::mul_add`.
     #[inline(always)]
     fn mul_add(self, a: Self, b: Self) -> Self {
-        #[cfg(target_feature = "fma")]
-        unsafe {
-            Self(_mm256_fmadd_pd(self.0, a.0, b.0))
-        }
-        #[cfg(not(target_feature = "fma"))]
-        {
-            self.mul(a).add(b)
-        }
+        unsafe { Self(_mm256_fmadd_pd(self.0, a.0, b.0)) }
     }
 
     #[inline(always)]
@@ -167,12 +167,24 @@ mod tests {
     use super::*;
     use crate::portable::PF64x4;
 
+    /// The tests below execute AVX2 instructions: skip on hosts without.
+    fn host_has_avx2() -> bool {
+        let ok = crate::Isa::detect() >= crate::Isa::Avx2;
+        if !ok {
+            eprintln!("skipped: this CPU has no AVX2+FMA");
+        }
+        ok
+    }
+
     fn p(v: F64x4) -> PF64x4 {
         PF64x4::new(v.to_array())
     }
 
     #[test]
     fn matches_portable_arithmetic() {
+        if !host_has_avx2() {
+            return;
+        }
         let a = F64x4::new([1.5, -2.0, 3.25, 4.0]);
         let b = F64x4::new([0.5, 8.0, -1.0, 2.0]);
         let pa = p(a);
@@ -187,6 +199,9 @@ mod tests {
 
     #[test]
     fn matches_portable_shifts() {
+        if !host_has_avx2() {
+            return;
+        }
         let a = F64x4::new([1.0, 2.0, 3.0, 4.0]);
         let b = F64x4::new([5.0, 6.0, 7.0, 8.0]);
         assert_eq!(p(a.shift_in_right(b)), p(a).map_shift_r(p(b)));
@@ -208,6 +223,9 @@ mod tests {
 
     #[test]
     fn transpose_matches_portable() {
+        if !host_has_avx2() {
+            return;
+        }
         let mut a = [
             F64x4::new([1.0, 2.0, 3.0, 4.0]),
             F64x4::new([5.0, 6.0, 7.0, 8.0]),

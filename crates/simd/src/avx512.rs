@@ -1,6 +1,9 @@
 //! AVX-512F backend: `__m512d` (8 x f64).
 //!
-//! Compiled only when `avx512f` is statically enabled. The 8x8 transpose
+//! Compiled into every x86_64 build; like [`crate::avx2`], a value of
+//! [`F64x8`] must only be created on a CPU where [`crate::Isa::detect`]
+//! reports [`crate::Isa::Avx512`], and kernels run it inside an
+//! `#[target_feature(enable = "avx512f,avx2,fma")]` function. The 8x8 transpose
 //! is the paper's three-stage scheme (§2.3): one stage of in-lane
 //! `vunpcklpd`/`vunpckhpd`, then two stages of 128-bit-block shuffles
 //! (`vshuff64x2`) — 24 single-uop shuffle instructions total, versus 8*8
@@ -20,7 +23,7 @@ impl F64x8 {
     /// Construct from lane values (lane 0 first).
     #[inline(always)]
     pub fn new(lanes: [f64; 8]) -> Self {
-        // SAFETY: avx512f statically enabled for this module.
+        // SAFETY: F64x8 values exist only on AVX-512 hosts (module docs).
         unsafe { Self(_mm512_loadu_pd(lanes.as_ptr())) }
     }
 
@@ -36,6 +39,7 @@ impl F64x8 {
 
 impl SimdF64 for F64x8 {
     const LANES: usize = 8;
+    const ISA: crate::Isa = crate::Isa::Avx512;
 
     #[inline(always)]
     fn splat(x: f64) -> Self {
@@ -166,8 +170,20 @@ impl SimdF64 for F64x8 {
 mod tests {
     use super::*;
 
+    /// The tests below execute AVX-512 instructions: skip on hosts without.
+    fn host_has_avx512() -> bool {
+        let ok = crate::Isa::detect() == crate::Isa::Avx512;
+        if !ok {
+            eprintln!("skipped: this CPU has no AVX-512F");
+        }
+        ok
+    }
+
     #[test]
     fn transpose_8x8() {
+        if !host_has_avx512() {
+            return;
+        }
         let mut set = [F64x8::splat(0.0); 8];
         for (r, row) in set.iter_mut().enumerate() {
             let mut lanes = [0.0; 8];
@@ -186,6 +202,9 @@ mod tests {
 
     #[test]
     fn shifts() {
+        if !host_has_avx512() {
+            return;
+        }
         let a = F64x8::new([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
         let b = F64x8::new([9.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0]);
         assert_eq!(
@@ -200,6 +219,9 @@ mod tests {
 
     #[test]
     fn fma() {
+        if !host_has_avx512() {
+            return;
+        }
         let a = F64x8::splat(2.0);
         let b = F64x8::splat(3.0);
         let c = F64x8::splat(1.0);

@@ -9,20 +9,28 @@
 //! ## Backends
 //!
 //! * [`portable::PF64x4`] / [`portable::PF64x8`] — `[f64; N]` wrappers with
-//!   `#[inline(always)]` per-lane operations. With `-C target-cpu=native`
-//!   LLVM lowers these to the same vector instructions as the intrinsic
-//!   backends in almost all cases; they are also the fallback on
-//!   non-x86_64 targets.
-//! * `avx2::F64x4` — `__m256d` wrappers, compiled only when the build
-//!   statically enables `avx2` (this workspace sets `target-cpu=native`).
-//!   Implements the paper's `permute2f128` + `unpackhi/lo` transpose
-//!   (Fig. 3) and the `blend` + lane-rotate assembled vectors (Fig. 2).
+//!   `#[inline(always)]` per-lane operations: the fallback on hosts (and
+//!   targets) without AVX, and the oracle the intrinsic backends are
+//!   tested against.
+//! * `avx2::F64x4` — `__m256d` wrappers, compiled into every x86_64
+//!   build. Implements the paper's `permute2f128` + `unpackhi/lo`
+//!   transpose (Fig. 3) and the `blend` + lane-rotate assembled vectors
+//!   (Fig. 2).
 //! * `avx512::F64x8` — `__m512d` wrappers for the AVX-512 experiments,
-//!   compiled only when `avx512f` is statically enabled.
+//!   compiled into every x86_64 build.
 //!
-//! Width selection for kernels happens through the type aliases
-//! [`NativeF64x4`] and [`NativeF64x8`]: the widest *statically available*
-//! implementation of the requested lane count.
+//! ## Dispatch
+//!
+//! The intrinsic backends only run on a CPU that has their features:
+//! [`Isa::detect`] probes the CPU once, and every [`SimdF64`] type names
+//! the ISA its operations need ([`SimdF64::ISA`]). Kernels built on this
+//! crate enter their hot loops through a `#[target_feature]` function
+//! chosen from that ISA, so the intrinsics inline into code compiled for
+//! the right instruction set. No build flag is involved.
+//!
+//! The aliases [`NativeF64x4`] and [`NativeF64x8`] keep their static
+//! meaning: the widest backend the build's *static* target features
+//! allow, which is the portable one unless the build enables AVX itself.
 //!
 //! ## Relation to the paper
 //!
@@ -51,16 +59,18 @@
 
 pub mod assemble;
 pub mod cost;
+pub mod isa;
 pub mod portable;
 pub mod transpose;
 pub mod vector;
 
-#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
+#[cfg(target_arch = "x86_64")]
 pub mod avx2;
 
-#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+#[cfg(target_arch = "x86_64")]
 pub mod avx512;
 
+pub use isa::Isa;
 pub use vector::SimdF64;
 
 /// Widest statically-available 4-lane `f64` vector type.
@@ -77,17 +87,21 @@ pub type NativeF64x8 = avx512::F64x8;
 #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
 pub type NativeF64x8 = portable::PF64x8;
 
-/// True when the AVX2 backend was compiled in (static feature detection).
+/// True when the build statically enables AVX2 (and so [`NativeF64x4`]
+/// is the AVX2 backend). Runtime dispatch does not depend on it.
 pub const HAS_AVX2: bool = cfg!(all(target_arch = "x86_64", target_feature = "avx2"));
 
-/// True when the AVX-512F backend was compiled in.
+/// True when the build statically enables AVX-512F (and so
+/// [`NativeF64x8`] is the AVX-512 backend).
 pub const HAS_AVX512: bool = cfg!(all(target_arch = "x86_64", target_feature = "avx512f"));
 
-/// Human-readable description of the active backends, for bench banners.
+/// Human-readable description of the backends dispatched on this CPU
+/// (see [`Isa::detect`]), for bench banners and host stamps.
 pub fn backend_summary() -> String {
-    format!(
-        "4-lane: {}, 8-lane: {}",
-        if HAS_AVX2 { "AVX2" } else { "portable" },
-        if HAS_AVX512 { "AVX-512F" } else { "portable" }
-    )
+    let label = |lanes: usize| match Isa::detect().for_lanes(lanes) {
+        Isa::Portable => "portable",
+        Isa::Avx2 => "AVX2",
+        Isa::Avx512 => "AVX-512F",
+    };
+    format!("4-lane: {}, 8-lane: {}", label(4), label(8))
 }

@@ -1,11 +1,12 @@
 //! Portable `[f64; N]` vector backend.
 //!
 //! Every operation is a fixed-trip-count lane loop marked
-//! `#[inline(always)]`; with optimizations (and especially with
-//! `target-cpu=native`) LLVM turns these into the same packed instructions
-//! the intrinsic backends emit. This backend is the correctness oracle for
-//! the intrinsic backends in the property tests, and the fallback on
-//! targets without AVX.
+//! `#[inline(always)]`, which LLVM vectorizes for the build's baseline
+//! ISA. Without FMA in that baseline, `mul_add` is a call to the software
+//! `fma` per lane — the reason kernels dispatch to the intrinsic
+//! backends at run time ([`crate::Isa`]). This backend is the
+//! correctness oracle for the intrinsic backends in the property tests,
+//! and the fallback on hosts without AVX2.
 
 use crate::vector::SimdF64;
 

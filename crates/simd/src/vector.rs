@@ -16,6 +16,12 @@ pub trait SimdF64: Copy + Clone + Send + Sync + core::fmt::Debug + 'static {
     /// Number of `f64` lanes.
     const LANES: usize;
 
+    /// The instruction set this backend's operations compile to. Code
+    /// generic over `SimdF64` must only run a non-portable backend on a
+    /// CPU where [`crate::Isa::detect`] reports at least this ISA, and
+    /// runs it fastest inside a function compiled for it.
+    const ISA: crate::Isa = crate::Isa::Portable;
+
     /// Vector with all lanes set to `x`.
     fn splat(x: f64) -> Self;
 

@@ -11,9 +11,10 @@ pub struct HostFingerprint {
     /// Machine hostname (the best of `$HOSTNAME`,
     /// `/proc/sys/kernel/hostname`, `/etc/hostname`, or `"unknown-host"`).
     pub hostname: String,
-    /// The vector ISA this *build* can use — static feature detection,
-    /// so an AVX-512 binary and a portable binary on the same machine
-    /// fingerprint differently, as they must: their plan spaces differ.
+    /// The vector ISA plans dispatch to on this CPU ([`isa_string`]), so
+    /// a tuned choice is only replayed on hosts that run the same
+    /// kernels: an AVX-512 host and an AVX2 host fingerprint differently,
+    /// as they must — their plan spaces differ.
     pub isa: String,
     /// Hardware threads the runtime sees.
     pub threads: usize,
@@ -37,17 +38,15 @@ impl HostFingerprint {
     }
 }
 
-/// The static-feature ISA label, including the widest native width so
-/// a `Width::native_max()` change shows up in the fingerprint.
+/// The dispatched-ISA label ([`stencil_simd::Isa::detect`]), including
+/// the widest native width so a `Width::native_max()` change shows up in
+/// the fingerprint.
 pub fn isa_string() -> String {
-    let features = if stencil_simd::HAS_AVX512 {
-        "avx512f"
-    } else if stencil_simd::HAS_AVX2 {
-        "avx2"
-    } else {
-        "portable"
-    };
-    format!("{}-w{}", features, Width::native_max().lanes())
+    format!(
+        "{}-w{}",
+        stencil_simd::Isa::detect().name(),
+        Width::native_max().lanes()
+    )
 }
 
 fn detect_hostname() -> String {
@@ -85,13 +84,15 @@ mod tests {
 
     #[test]
     fn isa_tracks_the_build_features() {
+        // the label names the ISA plans dispatch to on this CPU — not the
+        // build's static target features — and its native width
+        use stencil_simd::Isa;
         let isa = isa_string();
-        if stencil_simd::HAS_AVX512 {
-            assert!(isa.starts_with("avx512f"));
-        } else if stencil_simd::HAS_AVX2 {
-            assert!(isa.starts_with("avx2"));
-        } else {
-            assert!(isa.starts_with("portable"));
-        }
+        let (name, lanes) = match Isa::detect() {
+            Isa::Avx512 => ("avx512f", 8),
+            Isa::Avx2 => ("avx2", 4),
+            Isa::Portable => ("portable", 4),
+        };
+        assert_eq!(isa, format!("{name}-w{lanes}"));
     }
 }

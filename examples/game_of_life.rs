@@ -10,7 +10,7 @@ use std::time::Instant;
 use stencil_lab::core::exec::life;
 use stencil_lab::core::tile::tessellate;
 use stencil_lab::runtime::PoolHandle;
-use stencil_lab::simd::NativeF64x4;
+use stencil_lab::simd::{NativeF64x4, SimdF64};
 use stencil_lab::{Grid2D, PingPong};
 
 /// Gosper glider gun cells (row, col) offsets.
@@ -90,6 +90,7 @@ fn main() {
         1,
         1,
         8,
+        1,
         t,
         &|s: &Grid2D, d: &mut Grid2D, ys, xs| life::step_range_scalar(s, d, ys, xs),
     );
@@ -107,6 +108,7 @@ fn main() {
         1,
         1,
         8,
+        NativeF64x4::LANES,
         t,
         &|s: &Grid2D, d: &mut Grid2D, ys, xs| life::step_range::<NativeF64x4>(s, d, ys, xs),
     );
@@ -124,6 +126,7 @@ fn main() {
         2,
         2,
         8,
+        NativeF64x4::LANES,
         t / 2,
         &|s: &Grid2D, d: &mut Grid2D, ys, xs| life::step2_range::<NativeF64x4>(s, d, ys, xs),
     );
